@@ -261,6 +261,7 @@ def _cmd_validate(args):
 
 def _cmd_stats(args):
     from . import observables
+    from .errors import DomainError
 
     spec = _gcs_spec(args)
     params = _scarf_params(args)
@@ -268,19 +269,19 @@ def _cmd_stats(args):
         zs = [args.z]
     else:
         if args.z_points < 1:
-            raise ValueError("--z-points must be positive")
+            raise DomainError("--z-points must be positive")
         step = ((args.z_max - args.z_min) / (args.z_points - 1)
                 if args.z_points > 1 else 0.0)
         zs = [args.z_min + k * step for k in range(args.z_points)]
-    records = []
-    for z in zs:
-        r = observables.stats_report(spec, params, z)
-        records.append({
-            "gcs": int(spec.kind), "alpha": params.alpha,
-            "sigma": spec.sigma, "z": r.z, "g2": r.g2,
-            "mandel_q": r.mandel_q, "mean_photon": r.mean_photon,
-            "metric_factor": r.metric_factor,
-        })
+    # one pass over the whole sweep; it checks every z before any output
+    r = observables.stats_report(spec, params, zs)
+    records = [
+        {"gcs": int(spec.kind), "alpha": params.alpha, "sigma": spec.sigma,
+         "z": z, "g2": g2, "mandel_q": q, "mean_photon": mean,
+         "metric_factor": omega}
+        for z, g2, q, mean, omega in zip(
+            r.z.tolist(), r.g2.tolist(), r.mandel_q.tolist(),
+            r.mean_photon.tolist(), r.metric_factor.tolist())]
     if args.format == "csv":
         head = "gcs,alpha,sigma,z,g2,mandel_q,mean_photon,metric_factor\n"
         body = "".join(

@@ -84,13 +84,9 @@ def check_disk(spec, z):
         raise DomainError(f"GCS2 requires |zeta|^2 < 1, got z = {z:g}")
 
 
-def log_inverse_weight_sq(spec, params, n):
-    """log t_n with t_n = 1/|h_n|^2 in the unit convention (t_0 = 1)."""
-    if n < 0 or n != int(n):
-        raise DomainError("n must be a non-negative integer")
-    n = int(n)
+def _log_t(spec, params, n, lg):
+    """log t_n in the unit convention; n and lg act on scalars or arrays."""
     al = params.alpha
-    lg = math.lgamma
     if spec.kind is GcsKind.GCS1:
         return lg(2 * al + n) - lg(n + 1.0) - lg(2 * al + 2 * n)
     if spec.kind is GcsKind.GCS2:
@@ -102,6 +98,33 @@ def log_inverse_weight_sq(spec, params, n):
                 + lg(2 * al + 2) - lg(2 * al + 1))
     sg = spec.sigma
     return lg(n + 2.0 - sg) - lg(2.0 - sg) - lg(n + 2.0) - lg(n + 1.0)
+
+
+_lgamma_ufunc = np.frompyfunc(math.lgamma, 1, 1)
+
+
+def _lgamma_array(x):
+    return np.asarray(_lgamma_ufunc(x), dtype=np.float64)
+
+
+def log_inverse_weight_sq(spec, params, n):
+    """log t_n with t_n = 1/|h_n|^2 in the unit convention (t_0 = 1)."""
+    if n < 0 or n != int(n):
+        raise DomainError("n must be a non-negative integer")
+    return _log_t(spec, params, int(n), math.lgamma)
+
+
+def log_weight_sequence(spec, params, n_max, n_min=0):
+    """log t_n for n = n_min..n_max as one array.
+
+    The same lgamma expression as log_inverse_weight_sq, evaluated
+    elementwise, so each entry equals log_inverse_weight_sq(spec, params,
+    n) bit for bit.
+    """
+    if n_min != int(n_min) or n_max != int(n_max) or not 0 <= n_min <= n_max:
+        raise DomainError("levels need integers 0 <= n_min <= n_max")
+    n = np.arange(int(n_min), int(n_max) + 1, dtype=np.float64)
+    return _log_t(spec, params, n, _lgamma_array)
 
 
 def inverse_weight_sq(spec, params, n):

@@ -93,6 +93,61 @@ def test_stats_sigma_default_applies_to_gcs4(capsys):
     assert json.loads(out.strip())["sigma"] == -3.0
 
 
+def test_stats_records_keep_their_byte_format(capsys):
+    from scarfcs import coherent, observables, scarf
+
+    r = observables.stats_report(coherent.GcsSpec(coherent.GcsKind.GCS4,
+                                                  sigma=-3.0),
+                                 scarf.PotentialParams(3.0, 1.0), [0.0, 2.5])
+    code, out, _ = run(capsys, "stats", "--gcs", "4", "--alpha", "3",
+                       "--z-min", "0", "--z-max", "2.5", "--z-points", "2")
+    assert code == 0
+    want = "".join(
+        f'{{"gcs": 4, "alpha": 3.0, "sigma": -3.0, "z": {float(r.z[k])!r}, '
+        f'"g2": {float(r.g2[k])!r}, "mandel_q": {float(r.mandel_q[k])!r}, '
+        f'"mean_photon": {float(r.mean_photon[k])!r}, '
+        f'"metric_factor": {float(r.metric_factor[k])!r}}}\n'
+        for k in range(2))
+    assert out == want
+    code, out, _ = run(capsys, "stats", "--gcs", "4", "--alpha", "3",
+                       "--z", "2.5", "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1] == (
+        f"4,3.0,-3.0,2.5,{float(r.g2[1])!r},{float(r.mandel_q[1])!r},"
+        f"{float(r.mean_photon[1])!r},{float(r.metric_factor[1])!r}")
+
+
+@pytest.mark.parametrize("argv", [("--gcs", "3", "--z", "500"),
+                                  ("--gcs", "4", "--z", "1000"),
+                                  ("--gcs", "3", "--z", "1000")])
+def test_stats_at_large_z_is_finite(capsys, argv):
+    code, out, err = run(capsys, "stats", *argv)
+    assert code == 0 and err == ""
+    rec = json.loads(out)
+    assert all(math.isfinite(rec[key]) for key in
+               ("g2", "mandel_q", "mean_photon", "metric_factor"))
+
+
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_stats_nonpositive_z_points_is_a_usage_error(capsys, points):
+    code, out, err = run(capsys, "stats", "--z-points", points)
+    assert code == 2 and out == ""
+    assert "--z-points" in err
+
+
+def test_stats_sweep_is_checked_before_any_output(tmp_path, capsys):
+    # the last z leaves the GCS2 disk: nothing may be written
+    code, out, err = run(capsys, "stats", "--gcs", "2", "--z-min", "0.5",
+                         "--z-max", "1.1", "--z-points", "4")
+    assert code == 2 and out == ""
+    assert "GCS2" in err
+    dest = tmp_path / "sweep.jsonl"
+    code, out, _ = run(capsys, "stats", "--gcs", "1", "--z-min", "-1",
+                       "--z-max", "1", "--z-points", "3", "-o", str(dest))
+    assert code == 2 and out == ""
+    assert not dest.exists()
+
+
 def test_sigma_misuse_is_a_usage_error(capsys):
     code, _, err = run(capsys, "stats", "--gcs", "1", "--sigma", "1.0",
                        "--z", "0.5")

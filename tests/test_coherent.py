@@ -60,6 +60,24 @@ def test_gcs1_weights():
         assert t_next / t_n == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("kind,sigma", [(GcsKind.GCS1, None),
+                                        (GcsKind.GCS2, None),
+                                        (GcsKind.GCS3, None),
+                                        (GcsKind.GCS4, -12.5)])
+def test_log_weight_sequence_is_the_scalar_form(kind, sigma):
+    spec = GcsSpec(kind, sigma=sigma)
+    p = params(5.0)
+    seq = coherent.log_weight_sequence(spec, p, 300)
+    assert seq.shape == (301,) and seq[0] == 0.0
+    scalar = [coherent.log_inverse_weight_sq(spec, p, n) for n in range(301)]
+    assert seq.tolist() == scalar  # bit for bit
+    tail = coherent.log_weight_sequence(spec, p, 300, n_min=200)
+    assert tail.tolist() == scalar[200:]
+    for bad in ((-1,), (5, 6), (2.5,)):
+        with pytest.raises(DomainError):
+            coherent.log_weight_sequence(spec, p, *bad)
+
+
 def test_gcs4_sigma_zero_weights_are_poissonian():
     p = params(2.0)
     spec = GcsSpec(GcsKind.GCS4, sigma=0.0)

@@ -10,8 +10,9 @@ import math
 import numpy as np
 import pytest
 
-from scarfcs import coherent, observables, scarf
+from scarfcs import acceptance, coherent, observables, scarf, specfun
 from scarfcs.coherent import GcsKind, GcsSpec, Zeta
+from scarfcs.errors import ConvergenceError, DomainError
 from scarfcs.observables import StatsReport
 
 P2 = scarf.PotentialParams(2.0, 0.5)
@@ -152,3 +153,222 @@ def test_autocorrelation_is_model_free():
     import inspect
     for fn in (observables.autocorrelation, observables.autocorrelation_trace):
         assert "model" not in inspect.signature(fn).parameters
+
+
+# --- the moment pass against independent references -----------------------
+
+# pinned tolerances: g2 and <n> relative, Q absolute in units of
+# max(1, <n>), omega relative
+TOL_G2 = 1e-11
+TOL_MEAN = 1e-11
+TOL_Q = 1e-12
+TOL_OMEGA = 1e-10
+
+
+def _weight_ratio(kind, a, sigma, n):
+    """t_{n+1} / t_n, written out from the family definitions."""
+    a2 = 2 * a
+    if kind == 1:
+        return (a2 + n) / ((n + 1) * (a2 + 2 * n) * (a2 + 2 * n + 1))
+    if kind == 2:
+        return (a2 + n) / (n + 1) * (a2 + 2 * n + 2) / (a2 + 2 * n)
+    if kind == 3:
+        return ((a2 + 2 * n + 2) / (a2 + 2 * n) * (a2 + n) / (a2 + n + 2)
+                / (n + 1))
+    return (n + 2 - sigma) / ((n + 2) * (n + 1))
+
+
+def _mpmath_stats(kind, alpha, sigma, z):
+    """(g2, Q, <n>, omega) from sum t_n z^n term by term in mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40 + max(0, int(-math.log10(z)))):
+        a, zz = mpmath.mpf(alpha), mpmath.mpf(z)
+        sg = None if sigma is None else mpmath.mpf(sigma)
+        term = mpmath.mpf(1)
+        s0 = s1 = s2 = mpmath.mpf(0)
+        n = 0
+        while True:
+            s0 += term
+            s1 += n * term
+            s2 += n * n * term
+            ratio = _weight_ratio(int(kind), a, sg, n) * zz
+            term *= ratio
+            n += 1
+            # ratios fall for good once below 1; stop far below rounding
+            if n > 2 and ratio < 1 and n * n * term < mpmath.mpf(10) ** -35 * s2:
+                break
+        mean = s1 / s0
+        var = s2 / s0 - mean * mean
+        q = (var - mean) / mean
+        return float(1 + q / mean), float(q), float(mean), float(var / zz)
+
+
+def _assert_close(r, ref):
+    g2, q, mean, omega = ref
+    assert r.g2 == pytest.approx(g2, rel=TOL_G2)
+    assert r.mean_photon == pytest.approx(mean, rel=TOL_MEAN)
+    assert abs(r.mandel_q - q) <= TOL_Q * max(1.0, mean)
+    assert r.metric_factor == pytest.approx(omega, rel=TOL_OMEGA)
+
+
+@pytest.mark.parametrize("z", [1e3, 1e4])
+@pytest.mark.parametrize("kind,sigma", [(GcsKind.GCS3, None),
+                                        (GcsKind.GCS4, -12.0)])
+def test_large_z_is_finite_and_right(kind, sigma, z):
+    # the weights overflow a float long before z = 1e3; the ratios do not
+    r = observables.stats_report(GcsSpec(kind, sigma=sigma), P12, z)
+    assert all(math.isfinite(v) for v in
+               (r.g2, r.mandel_q, r.mean_photon, r.metric_factor))
+    _assert_close(r, _mpmath_stats(kind, P12.alpha, sigma, z))
+
+
+def test_moment_pass_matches_mpmath_on_a_seeded_spread():
+    rng = np.random.default_rng(20211)
+    for _ in range(40):
+        kind = GcsKind(int(rng.integers(1, 5)))
+        alpha = float(rng.uniform(1.2, 12.0))
+        sigma = float(rng.uniform(-14.0, 1.9)) if kind is GcsKind.GCS4 else None
+        z = (float(rng.uniform(0.01, 0.99)) if kind is GcsKind.GCS2
+             else float(10.0 ** rng.uniform(-2.0, 4.0)))
+        p = scarf.PotentialParams(alpha, (alpha - 1.0) / 2.0)
+        r = observables.stats_report(GcsSpec(kind, sigma=sigma), p, z)
+        _assert_close(r, _mpmath_stats(kind, alpha, sigma, z))
+
+
+def _closed_form_stats(spec, params, z):
+    """(g2, Q, <n>, omega) from N, N', N'' by the parameter-shift rule."""
+    hspec, scale = coherent.closed_form(spec, params)
+    zz = scale * z
+    n0 = specfun.hypergeometric(hspec, zz).value
+    n1 = scale * specfun.hypergeometric_derivative(hspec, zz, order=1)
+    n2 = scale * scale * specfun.hypergeometric_derivative(hspec, zz, order=2)
+    r = n1 / n0
+    return (n2 * n0 / (n1 * n1), z * (n2 / n1 - r), z * r,
+            r + z * (n2 / n0 - r * r))
+
+
+def test_moment_pass_matches_closed_forms_on_acceptance_grids():
+    for spec, p, zs in acceptance._family_cases():
+        r = observables.stats_report(spec, p, np.asarray(zs))
+        for k, z in enumerate(zs):
+            row = StatsReport(z, r.g2[k], r.mandel_q[k], r.mean_photon[k],
+                              r.metric_factor[k])
+            _assert_close(row, _closed_form_stats(spec, p, z))
+
+
+# --- scalar and array calls, z = 0, errors --------------------------------
+
+SPECS = [GcsSpec(GcsKind.GCS1), GcsSpec(GcsKind.GCS2), GcsSpec(GcsKind.GCS3),
+         GcsSpec(GcsKind.GCS4, sigma=-12.0), GcsSpec(GcsKind.GCS4, sigma=1.5)]
+FIELDS = ("z", "g2", "mandel_q", "mean_photon", "metric_factor")
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_array_call_matches_scalar_calls(spec):
+    top = 0.95 if spec.kind is GcsKind.GCS2 else 300.0
+    # unsorted, with a zero and a repeat, long enough for several blocks
+    zs = np.concatenate([np.linspace(top, 0.0, 301), [0.3, top / 2.0, 0.3]])
+    r = observables.stats_report(spec, P12, zs)
+    for name in FIELDS:
+        assert getattr(r, name).shape == zs.shape
+    for k in range(0, zs.size, 7):
+        one = observables.stats_report(spec, P12, float(zs[k]))
+        assert all(isinstance(getattr(one, name), float) for name in FIELDS)
+        for name in ("z", "g2", "mean_photon", "metric_factor"):
+            assert getattr(r, name)[k] == pytest.approx(getattr(one, name),
+                                                        rel=1e-13)
+        # Q is a cancelling difference: hold it in units of max(1, <n>)
+        assert abs(r.mandel_q[k] - one.mandel_q) <= 1e-13 * max(
+            1.0, one.mean_photon)
+
+
+def test_empty_sweep_and_shape_rules():
+    empty = observables.stats_report(GcsSpec(GcsKind.GCS1), P12, [])
+    assert empty.g2.shape == (0,)
+    with pytest.raises(DomainError):
+        observables.stats_report(GcsSpec(GcsKind.GCS1), P12, [[0.5, 1.0]])
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_zero_z_limits_hold_for_every_statistic(spec):
+    t1 = coherent.inverse_weight_sq(spec, P12, 1)
+    t2 = coherent.inverse_weight_sq(spec, P12, 2)
+    r = observables.stats_report(spec, P12, 0.0)
+    assert r.g2 == pytest.approx(2.0 * t2 / (t1 * t1), rel=1e-13)
+    assert r.mean_photon == 0.0 and r.mandel_q == 0.0
+    assert r.metric_factor == pytest.approx(t1, rel=1e-13)
+    # and they are the limits: the pass meets them continuously
+    near = observables.stats_report(spec, P12, 1e-9)
+    assert near.g2 == pytest.approx(r.g2, rel=1e-7)
+    assert near.mean_photon == pytest.approx(t1 * 1e-9, rel=1e-7)
+    assert near.metric_factor == pytest.approx(t1, rel=1e-7)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_tiny_z_forms_meet_the_moment_pass(spec):
+    below = observables.TINY_Z * (1.0 - 1e-12)
+    r = observables.stats_report(spec, P12, [below, observables.TINY_Z])
+    assert r.g2[0] == pytest.approx(r.g2[1], rel=1e-13)
+    assert r.mean_photon[0] == pytest.approx(r.mean_photon[1], rel=1e-11)
+    assert r.mandel_q[0] == pytest.approx(r.mandel_q[1], rel=1e-11)
+    assert r.metric_factor[0] == pytest.approx(r.metric_factor[1], rel=1e-13)
+
+
+def test_sweep_through_zero():
+    spec = GcsSpec(GcsKind.GCS3)
+    r = observables.stats_report(spec, P12, [0.0, 0.5, 1.0])
+    assert r.mean_photon[0] == 0.0
+    assert r.g2[0] == observables.g2(spec, P12, 0.0)
+    assert r.g2[1] == pytest.approx(observables.g2(spec, P12, 0.5), rel=1e-13)
+
+
+@pytest.mark.parametrize("z", [-1e-3, [0.5, -0.1], math.nan, [1.0, math.inf]])
+def test_bad_z_is_a_domain_error(z):
+    with pytest.raises(DomainError):
+        observables.stats_report(GcsSpec(GcsKind.GCS1), P12, z)
+
+
+def test_gcs2_outside_the_disk_is_a_domain_error():
+    with pytest.raises(DomainError):
+        observables.stats_report(GcsSpec(GcsKind.GCS2), P12, [0.5, 1.0])
+
+
+def test_level_cap_is_a_convergence_error(monkeypatch):
+    monkeypatch.setattr(observables, "MAX_LEVELS", 256)
+    with pytest.raises(ConvergenceError):
+        observables.stats_report(GcsSpec(GcsKind.GCS2), P12, 0.99)
+
+
+def test_non_finite_statistics_are_a_convergence_error(monkeypatch):
+    def broken(log_t, log_z, k):
+        nan = np.full(log_z.shape, math.nan)
+        return nan, nan, nan
+
+    monkeypatch.setattr(observables, "_moments", broken)
+    with pytest.raises(ConvergenceError):
+        observables.stats_report(GcsSpec(GcsKind.GCS1), P12, [0.0, 1.0])
+
+
+def test_statistics_do_not_evaluate_series(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("pFq series evaluated")
+
+    monkeypatch.setattr(specfun, "hypergeometric", refuse)
+    monkeypatch.setattr(specfun, "hypergeometric_derivative", refuse)
+    for spec in SPECS:
+        observables.stats_report(spec, P12, [0.0, 0.3, 0.9])
+
+
+def test_blocks_stay_bounded(monkeypatch):
+    seen = []
+    moments = observables._moments
+
+    def spy(log_t, log_z, k):
+        seen.append(log_z.size * (k + 1))
+        return moments(log_t, log_z, k)
+
+    monkeypatch.setattr(observables, "_moments", spy)
+    observables.stats_report(GcsSpec(GcsKind.GCS2), P12,
+                             np.linspace(0.01, 0.95, 1000))
+    assert len(seen) > 1
+    assert max(seen) <= observables.BLOCK_CELLS
