@@ -21,9 +21,10 @@ from .observables import (StatsReport, autocorrelation,
                           autocorrelation_trace, g2, mandel_q, mean_photon,
                           metric_factor, stats_report)
 from .quadrature import (QuadratureRule, gauss_legendre, inner_product,
-                         schrodinger_residual)
+                         schrodinger_residual, schrodinger_residuals)
 from .scarf import (EigenstateId, ModelKind, PotentialParams, eigenfunction,
-                    eigenfunction_table, energy, level_spacing, norm_audit,
+                    eigenfunction_rows, eigenfunction_table, energy,
+                    level_spacing, norm_audit,
                     normalization_constant, potential,
                     shape_invariance_residual, superpotential,
                     superpotential_derivative)
@@ -39,12 +40,13 @@ __all__ = [
     "ModelKind", "PotentialParams", "QuadratureRule", "SeriesResult",
     "StatsReport", "TruncationPolicy", "UnitarityError", "Zeta",
     "autocorrelation", "autocorrelation_trace", "carpet", "eigenfunction",
-    "eigenfunction_table", "energy", "evolve", "expansion", "export_carpet",
-    "g2", "gauss_legendre", "hypergeometric", "hypergeometric_derivative",
-    "inner_product", "inverse_weight_sq", "jacobi_p", "kernels",
+    "eigenfunction_rows", "eigenfunction_table", "energy", "evolve",
+    "expansion", "export_carpet", "g2", "gauss_legendre", "hypergeometric",
+    "hypergeometric_derivative", "inner_product", "inverse_weight_sq", "jacobi_p", "kernels",
     "level_spacing", "log_gamma", "mandel_q", "mean_photon", "metric_factor",
     "norm_audit", "normalization", "normalization_constant",
     "photon_distribution", "potential", "quadrature",
-    "schrodinger_residual", "shape_invariance_residual", "stats_report",
+    "schrodinger_residual", "schrodinger_residuals",
+    "shape_invariance_residual", "stats_report",
     "superpotential", "superpotential_derivative", "x1_jacobi",
 ]

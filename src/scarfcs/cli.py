@@ -28,7 +28,10 @@ def _parse_levels(text):
             raise ValueError(f"empty level range {text!r}")
         return list(range(lo, hi + 1))
     if "," in text:
-        return [int(part) for part in text.split(",") if part.strip()]
+        levels = [int(part) for part in text.split(",") if part.strip()]
+        if not levels:
+            raise ValueError(f"no levels in {text!r}")
+        return levels
     return [int(text)]
 
 
@@ -213,19 +216,19 @@ def _cmd_eigen(args):
     model = scarf.ModelKind(args.model)
     params = scarf.PotentialParams(args.alpha, args.beta)
     levels = _parse_levels(args.n)
-    rows = []
-    for n in levels:
-        state = scarf.EigenstateId(model, params, n)
-        audit = scarf.norm_audit(model, params, [n])[0]
-        rows.append({
-            "n": n,
-            "energy": scarf.energy(params, n),
-            "norm_closed": audit["closed"],
-            "norm_quadrature": audit["quadrature"],
-            "ratio": audit["ratio"],
-            "residual": quadrature.schrodinger_residual(
-                state, grid_points=args.grid_points, margin=args.margin),
-        })
+    # norm_audit checks every level before it builds any table
+    audit = scarf.norm_audit(model, params, levels)
+    residuals = quadrature.schrodinger_residuals(
+        model, params, levels, grid_points=args.grid_points,
+        margin=args.margin)
+    rows = [{
+        "n": n,
+        "energy": scarf.energy(params, n),
+        "norm_closed": row["closed"],
+        "norm_quadrature": row["quadrature"],
+        "ratio": row["ratio"],
+        "residual": resid,
+    } for n, row, resid in zip(levels, audit, residuals.tolist())]
     if args.format == "json":
         text = "".join(json.dumps(row) + "\n" for row in rows)
     else:

@@ -3,10 +3,13 @@
 Units hbar = 2m = 1. Both models share the spectrum E_n = (n + alpha)^2:
 the rational model deforms potential and eigenfunctions through the
 denominator D(x) = 2 alpha - 1 - 2 beta sin(x) without moving a single
-level. Eigenfunction prefactors are assembled in log space; closed-form
-normalization constants are audited against a 400-node Gauss-Legendre
-norm and replaced by the measured value whenever the two disagree
-(see norm_audit).
+level. Eigenfunction prefactors are assembled in log space, and a set
+of levels on one grid shares one Jacobi table, with only the returned
+rows taken to log space. Closed-form normalization constants are
+audited against a 400-node Gauss-Legendre norm and replaced by the
+measured value whenever the two disagree (see norm_audit): all levels
+of one parameter set are measured on one table and cached per
+(model, alpha, beta).
 """
 
 import enum
@@ -159,7 +162,7 @@ def log_normalization_constant(state):
     These are the textbook expressions; norm_audit measures how well
     they hold. For the conventional model the quadrature norm reveals a
     systematic n-dependent ratio, so eigenfunction() does not use this
-    value blindly (see _verified_log_norm).
+    value blindly (see _audited_log_norms).
     """
     al, be = state.params.alpha, state.params.beta
     n = state.n
@@ -185,9 +188,14 @@ def normalization_constant(state):
     return math.exp(log_normalization_constant(state))
 
 
-def _log_abs_parts(model, params, n_max, x):
+def _log_abs_parts(model, params, levels, x):
     """log|u_n(x)| and sign(u_n(x)) for the unnormalized eigenfunctions
-    u_n, n = 0..n_max, stacked as (n_max + 1, len(x)) arrays."""
+    u_n, one row per entry of levels (in that order), stacked as
+    (len(levels), len(x)) arrays.
+
+    The Jacobi recurrence runs once, up to max(levels); only the
+    requested rows are assembled and taken to log space.
+    """
     al, be = params.alpha, params.beta
     s = np.sin(x)
     a = al - be - 0.5
@@ -195,48 +203,66 @@ def _log_abs_parts(model, params, n_max, x):
     with np.errstate(divide="ignore"):
         log_pref = (0.5 * (al - be) * np.log1p(-s)
                     + 0.5 * (al + be) * np.log1p(s))
+    table = kernels.jacobi_table(max(levels, default=0), a, b, s)
     if model is ModelKind.CONVENTIONAL:
-        poly = kernels.jacobi_table(n_max, a, b, s)
+        poly = table[levels]
     else:
-        table = kernels.jacobi_table(max(n_max, 1), a, b, s)
         c = (2.0 * al - 1.0) / (2.0 * be)
-        poly = np.empty((n_max + 1, s.shape[0]))
-        for n in range(n_max + 1):
+        poly = np.empty((len(levels), s.shape[0]))
+        for row, n in enumerate(levels):
             pm = table[n - 1] if n >= 1 else 0.0
-            poly[n] = (-0.5 * (s - c) * table[n]
-                       + (c * table[n] - pm) / (2.0 * al - 1.0 + 2.0 * n))
+            poly[row] = (-0.5 * (s - c) * table[n]
+                         + (c * table[n] - pm) / (2.0 * al - 1.0 + 2.0 * n))
         log_pref = log_pref - np.log(2.0 * al - 1.0 - 2.0 * be * s)
+    del table  # only the selected rows go on to the log stage
+    # in place from here on: a wide level block makes these
+    # (levels, len(x)) arrays the peak of the memory use
+    log_abs = np.abs(poly)
     with np.errstate(divide="ignore"):
-        log_abs = log_pref[None, :] + np.log(np.abs(poly))
-    return log_abs, np.sign(poly)
+        np.log(log_abs, out=log_abs)
+    log_abs += log_pref
+    return log_abs, np.sign(poly, out=poly)
 
 
-@functools.lru_cache(maxsize=4096)
-def _verified_log_norm(model, alpha, beta, n):
-    """(log N used by eigenfunction, closed/quadrature ratio).
+# One mutable store per parameter set, so a warm lookup is one dict
+# access per level; the LRU bound caps how many parameter sets are kept.
+@functools.lru_cache(maxsize=256)
+def _norm_store(model, alpha, beta):
+    """{n: (log N used, closed/quadrature ratio)} for one parameter set,
+    filled by _audited_log_norms."""
+    return {}
 
-    Measures the true norm of the unnormalized eigenfunction with the
-    400-node rule, in log space to survive extreme prefactors, and keeps
-    the closed form only when it matches to NORM_TRUST_TOL.
+
+def _audited_log_norms(model, params, levels):
+    """(log N used by the eigenfunctions, closed/quadrature ratio) for
+    each n in levels, in that order.
+
+    The levels not yet known for this parameter set are measured
+    together on one 400-node table, in log space to survive extreme
+    prefactors. The closed form is kept only when it matches the
+    measured norm to NORM_TRUST_TOL.
     """
-    params = PotentialParams(alpha, beta)
-    rule = quadrature.gauss_legendre(VERIFY_ORDER)
-    log_abs, _ = _log_abs_parts(model, params, n, rule.nodes)
-    la = log_abs[n]
-    peak = float(np.max(la))
-    integral = float(np.dot(rule.weights, np.exp(2.0 * (la - peak))))
-    log_quad = -(peak + 0.5 * math.log(integral))
-    log_closed = log_normalization_constant(
-        EigenstateId(model, params, n))
-    ratio = math.exp(log_closed - log_quad)
-    log_used = log_closed if abs(ratio - 1.0) <= NORM_TRUST_TOL else log_quad
-    return log_used, ratio
+    known = _norm_store(model, params.alpha, params.beta)
+    missing = sorted(set(levels).difference(known))
+    if missing:
+        rule = quadrature.gauss_legendre(VERIFY_ORDER)
+        log_abs, _ = _log_abs_parts(model, params, missing, rule.nodes)
+        for n, la in zip(missing, log_abs):
+            peak = float(np.max(la))
+            integral = float(np.dot(rule.weights, np.exp(2.0 * (la - peak))))
+            log_quad = -(peak + 0.5 * math.log(integral))
+            log_closed = log_normalization_constant(
+                EigenstateId(model, params, n))
+            ratio = math.exp(log_closed - log_quad)
+            log_used = (log_closed if abs(ratio - 1.0) <= NORM_TRUST_TOL
+                        else log_quad)
+            known[n] = (log_used, ratio)
+    return [known[n] for n in levels]
 
 
 def verified_log_norm(state):
     """Audited log-normalization for one state: (log N, ratio)."""
-    return _verified_log_norm(state.model, state.params.alpha,
-                              state.params.beta, state.n)
+    return _audited_log_norms(state.model, state.params, [state.n])[0]
 
 
 def norm_audit(model, params, n_values):
@@ -245,15 +271,16 @@ def norm_audit(model, params, n_values):
     Returns a list of dicts with keys n, closed, quadrature, ratio.
     The ratio column is the interesting one: 1.0 means the closed form
     is confirmed; a drifting value means it is wrong and the quadrature
-    constant is in force.
+    constant is in force. Every level is checked before any table is
+    built, and all of them share one 400-node table.
     """
+    states = [EigenstateId(model, params, int(n)) for n in n_values]
+    audited = _audited_log_norms(model, params, [s.n for s in states])
     rows = []
-    for n in n_values:
-        state = EigenstateId(model, params, int(n))
-        log_used, ratio = verified_log_norm(state)
+    for state, (_, ratio) in zip(states, audited):
         closed = normalization_constant(state)
         rows.append({
-            "n": int(n),
+            "n": state.n,
             "closed": closed,
             "quadrature": closed / ratio,
             "ratio": ratio,
@@ -261,16 +288,29 @@ def norm_audit(model, params, n_values):
     return rows
 
 
-def eigenfunction(state, x):
-    """Normalized bound-state wavefunction psi_n(x).
+def eigenfunction_rows(model, params, levels, x):
+    """psi_n(x) for each n in levels, stacked (len(levels), len(x)).
 
-    Uses the audited normalization constant, so the result integrates
-    to one regardless of closed-form defects.
+    Rows come in the order given; levels may repeat. One polynomial
+    table up to max(levels) serves every row, and the audited
+    normalization constants are used, so each row integrates to one
+    regardless of closed-form defects.
     """
     arr = _interior(x)
-    log_used, _ = verified_log_norm(state)
-    log_abs, sign = _log_abs_parts(state.model, state.params, state.n, arr)
-    vals = sign[state.n] * np.exp(log_used + log_abs[state.n])
+    levels = [EigenstateId(model, params, n).n for n in levels]
+    log_used = np.array(
+        [used for used, _ in _audited_log_norms(model, params, levels)])
+    psi, sign = _log_abs_parts(model, params, levels, arr)
+    psi += log_used[:, None]
+    np.exp(psi, out=psi)
+    psi *= sign
+    return psi
+
+
+def eigenfunction(state, x):
+    """Normalized bound-state wavefunction psi_n(x); see
+    eigenfunction_rows."""
+    vals = eigenfunction_rows(state.model, state.params, [state.n], x)[0]
     return _match(x, vals)
 
 
@@ -282,11 +322,4 @@ def eigenfunction_table(model, params, n_max, x):
     """
     if n_max < 0 or n_max != int(n_max):
         raise DomainError("n_max must be a non-negative integer")
-    arr = _interior(x)
-    n_max = int(n_max)
-    log_abs, sign = _log_abs_parts(model, params, n_max, arr)
-    out = np.empty_like(log_abs)
-    for n in range(n_max + 1):
-        log_used, _ = _verified_log_norm(model, params.alpha, params.beta, n)
-        out[n] = sign[n] * np.exp(log_used + log_abs[n])
-    return out
+    return eigenfunction_rows(model, params, range(int(n_max) + 1), x)

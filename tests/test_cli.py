@@ -48,6 +48,34 @@ def test_eigen_level_parse_failure_is_exit_1(capsys):
     assert "empty level range" in err
 
 
+def test_eigen_empty_level_list_is_exit_1(capsys):
+    code, out, err = run(capsys, "eigen", "--n", ",")
+    assert code == 1 and out == ""
+    assert "no levels" in err
+
+
+def test_eigen_bad_level_fails_before_any_table(capsys, jacobi_calls):
+    code, out, err = run(capsys, "eigen", "--n", "3,-1")
+    assert code == 2 and out == ""
+    assert "non-negative" in err
+    assert jacobi_calls == []
+
+
+@pytest.mark.parametrize("model", ["conventional", "rational"])
+def test_eigen_level_block_builds_one_table_per_grid(tmp_path, capsys,
+                                                      jacobi_calls, model):
+    from scarfcs import scarf
+
+    scarf._norm_store.cache_clear()
+    dest = tmp_path / "eigen.jsonl"
+    code, _, _ = run(capsys, "eigen", "--model", model, "--n", "180..200",
+                     "--format", "json", "-o", str(dest))
+    assert code == 0
+    rows = [json.loads(line) for line in dest.read_text().splitlines()]
+    assert [r["n"] for r in rows] == list(range(180, 201))
+    assert len(jacobi_calls) <= 2
+
+
 def test_validate_single_criterion(capsys):
     code, out, _ = run(capsys, "validate", "--criterion", "2")
     assert code == 0

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from scarfcs import quadrature, scarf
+from scarfcs import kernels, quadrature, scarf
 from scarfcs.errors import DomainError
 from scarfcs.scarf import EigenstateId, ModelKind, PotentialParams
 
@@ -162,3 +162,98 @@ def test_state_validation():
         EigenstateId(ModelKind.CONVENTIONAL, P, -1)
     with pytest.raises(DomainError):
         scarf.eigenfunction_table(ModelKind.CONVENTIONAL, P, -1, X)
+
+
+def _reference_log_row(model, params, n, x):
+    """log|u_n| and sign(u_n) built for level n on its own: a Jacobi
+    table up to n with every row assembled and taken to log space."""
+    al, be = params.alpha, params.beta
+    s = np.sin(x)
+    log_pref = (0.5 * (al - be) * np.log1p(-s)
+                + 0.5 * (al + be) * np.log1p(s))
+    table = kernels.jacobi_table(max(n, 1), al - be - 0.5, al + be - 0.5, s)
+    if model is ModelKind.CONVENTIONAL:
+        poly = table[:n + 1]
+    else:
+        c = (2.0 * al - 1.0) / (2.0 * be)
+        poly = np.empty((n + 1, s.shape[0]))
+        for k in range(n + 1):
+            pm = table[k - 1] if k >= 1 else 0.0
+            poly[k] = (-0.5 * (s - c) * table[k]
+                       + (c * table[k] - pm) / (2.0 * al - 1.0 + 2.0 * k))
+        log_pref = log_pref - np.log(2.0 * al - 1.0 - 2.0 * be * s)
+    log_abs = log_pref[None, :] + np.log(np.abs(poly))
+    return log_abs[n], np.sign(poly[n])
+
+
+def _reference_eigen_row(model, params, n, grid_points=4001, margin=0.05):
+    """One `scarfcs eigen` row computed level by level."""
+    rule = quadrature.gauss_legendre(scarf.VERIFY_ORDER)
+    la, _ = _reference_log_row(model, params, n, rule.nodes)
+    peak = float(np.max(la))
+    integral = float(np.dot(rule.weights, np.exp(2.0 * (la - peak))))
+    log_quad = -(peak + 0.5 * math.log(integral))
+    state = EigenstateId(model, params, n)
+    log_closed = scarf.log_normalization_constant(state)
+    ratio = math.exp(log_closed - log_quad)
+    log_used = (log_closed if abs(ratio - 1.0) <= scarf.NORM_TRUST_TOL
+                else log_quad)
+    x = np.linspace(-math.pi / 2 + margin, math.pi / 2 - margin, grid_points)
+    h = x[1] - x[0]
+    la, sign = _reference_log_row(model, params, n, x)
+    psi = sign * np.exp(log_used + la)
+    v = scarf.potential(model, params, x)
+    e = scarf.energy(params, n)
+    d2 = (-psi[4:] + 16.0 * psi[3:-1] - 30.0 * psi[2:-2]
+          + 16.0 * psi[1:-3] - psi[:-4]) / (12.0 * h * h)
+    resid = -d2 + (v[2:-2] - e) * psi[2:-2]
+    closed = math.exp(log_closed)
+    return {"closed": closed, "quadrature": closed / ratio, "ratio": ratio,
+            "residual": float(np.max(np.abs(resid))
+                              / (abs(e) * float(np.max(np.abs(psi)))))}
+
+
+@pytest.mark.parametrize("model", list(ModelKind))
+@pytest.mark.parametrize("levels", [list(range(180, 201)), [7, 0, 7]])
+def test_level_block_matches_per_level_reference(model, levels):
+    scarf._norm_store.cache_clear()
+    audit = scarf.norm_audit(model, P, levels)
+    resid = quadrature.schrodinger_residuals(model, P, levels)
+    assert [row["n"] for row in audit] == levels
+    assert resid.shape == (len(levels),)
+    for n, row, r in zip(levels, audit, resid):
+        ref = _reference_eigen_row(model, P, n)
+        assert row["closed"] == ref["closed"]
+        assert row["quadrature"] == pytest.approx(ref["quadrature"],
+                                                  rel=1e-14)
+        assert row["ratio"] == pytest.approx(ref["ratio"], rel=1e-14)
+        assert r == pytest.approx(ref["residual"], rel=1e-8)
+
+
+@pytest.mark.parametrize("model", list(ModelKind))
+def test_eigenfunction_rows_follow_requested_order(model):
+    rows = scarf.eigenfunction_rows(model, P, [7, 0, 7], X)
+    table = scarf.eigenfunction_table(model, P, 7, X)
+    assert np.array_equal(rows, table[[7, 0, 7]])
+
+
+@pytest.mark.parametrize("model", list(ModelKind))
+def test_cold_table_builds_one_jacobi_table_per_grid(model, jacobi_calls):
+    scarf._norm_store.cache_clear()
+    table = scarf.eigenfunction_table(model, P, 60, X)
+    assert table.shape == (61, X.shape[0])
+    cold = len(jacobi_calls)
+    assert cold <= 2
+    # warm: the audited constants come from the cache
+    scarf.eigenfunction_table(model, P, 60, X)
+    assert len(jacobi_calls) == cold + 1
+
+
+def test_norm_cache_is_keyed_by_parameter_set():
+    scarf._norm_store.cache_clear()
+    p = PotentialParams(4.0, 1.5)
+    rows = scarf.norm_audit(ModelKind.CONVENTIONAL, p, [2, 5])
+    store = scarf._norm_store(ModelKind.CONVENTIONAL, 4.0, 1.5)
+    assert sorted(store) == [2, 5]
+    assert store[5][1] == rows[1]["ratio"]
+    assert scarf._norm_store(ModelKind.RATIONAL, 4.0, 1.5) == {}
